@@ -12,7 +12,6 @@
 //                      [--annotation-cache-capacity C]
 //                      [--inference-cache-capacity C]
 //                      [--timeout-seconds S]
-//                      [--frontend interned|reference]
 //                      [--perf-json perf.json]
 //                      [--save-model m.ckpt] [--load-model m.ckpt]
 //
@@ -67,15 +66,6 @@
 // (implies --keep-going semantics for the timed-out slot only under
 // --keep-going, otherwise the run stops there like any other failure).
 //
-// --frontend interned|reference: select the front-end implementation
-// (default interned -- the id-space fast path; reference is the legacy
-// string path). Both produce bit-identical annotations.
-//
-// --kernel simd|unrolled|reference: select the dense/sparse product
-// kernels (default simd -- the compile-time dispatched AVX2/NEON/scalar
-// kernel; see DESIGN.md §10). Every kernel produces bit-identical
-// annotations; the switch exists for oracle comparison and debugging.
-//
 // --perf-json FILE: write the batch's wall/stage timings and perf
 // counters (allocations, spmm/matmul flops, parse/intern stats, cache
 // hits) as JSON.
@@ -88,7 +78,6 @@
 
 #include "gana.hpp"
 #include "gcn/serialize.hpp"
-#include "linalg/kernels.hpp"
 #include "primitives/library_io.hpp"
 #include "util/args.hpp"
 #include "util/perf.hpp"
@@ -190,33 +179,12 @@ int main(int argc, char** argv) {
         "                        [--inference-cache-capacity C]\n"
         "                        [--timeout-seconds S]\n"
         "                        [--load-library lib|standard]\n"
-        "                        [--frontend interned|reference]\n"
-        "                        [--kernel simd|unrolled|reference]\n"
         "                        [--perf-json perf.json]\n"
         "                        [--svg layout.svg]\n");
     return kExitUsage;
   }
   const std::vector<std::string> paths = args.positional();
   const std::string domain = args.get("domain", "ota");
-  const std::string frontend = args.get("frontend", "interned");
-  if (frontend != "interned" && frontend != "reference") {
-    std::fprintf(stderr, "error: unknown --frontend '%s'\n", frontend.c_str());
-    return kExitUsage;
-  }
-  const std::string kernel = args.get("kernel", "simd");
-  if (kernel == "simd") {
-    gana::set_matmul_kernel(gana::MatmulKernel::Simd);
-    gana::set_spmm_kernel(gana::SpmmKernel::Simd);
-  } else if (kernel == "unrolled") {
-    gana::set_matmul_kernel(gana::MatmulKernel::Unrolled);
-    gana::set_spmm_kernel(gana::SpmmKernel::Reference);
-  } else if (kernel == "reference") {
-    gana::set_matmul_kernel(gana::MatmulKernel::Reference);
-    gana::set_spmm_kernel(gana::SpmmKernel::Reference);
-  } else {
-    std::fprintf(stderr, "error: unknown --kernel '%s'\n", kernel.c_str());
-    return kExitUsage;
-  }
   const bool keep_going = args.has("keep-going");
   const std::size_t jobs =
       static_cast<std::size_t>(std::max(args.get_int("jobs", 1), 0));
@@ -277,18 +245,13 @@ int main(int argc, char** argv) {
   const std::vector<std::string> classes =
       domain == "rf" ? gana::datagen::rf_class_names()
                      : std::vector<std::string>{"ota", "bias"};
-  gana::core::PrepareOptions prepare;
-  prepare.front_end = frontend == "reference"
-                          ? gana::core::FrontEnd::Reference
-                          : gana::core::FrontEnd::Interned;
   auto library =
       gana::primitives::load_library_any(args.get("load-library", "standard"));
   if (!library.ok()) {
     std::fprintf(stderr, "error: %s\n", library.diag().render().c_str());
     return kExitIo;
   }
-  gana::core::Annotator annotator(model.get(), classes, library.take(),
-                                  prepare);
+  gana::core::Annotator annotator(model.get(), classes, library.take());
   // Per-cache capacities, each falling back to the shared knob.
   const int shared_capacity = std::max(args.get_int("cache-capacity", 0), 0);
   const auto cache_capacity = [&](const char* flag) {

@@ -9,7 +9,6 @@
 #include "graph/builder.hpp"
 #include "graph/laplacian.hpp"
 #include "graph/structural_hash.hpp"
-#include "spice/flatten.hpp"
 #include "spice/interned.hpp"
 #include "util/deadline.hpp"
 #include "util/thread_pool.hpp"
@@ -42,39 +41,23 @@ PreparedCircuit prepare_circuit(const datagen::LabeledCircuit& input,
   // surviving representative (or vanish).
   std::map<std::string, int> device_labels = input.device_labels;
 
-  if (options.front_end == FrontEnd::Interned) {
-    // Id-space fast path: intern once, then flatten/preprocess/build on
-    // SymbolIds; names materialize only into `out.flat` at the boundary.
-    mark(stage, Stage::Flatten);
-    spice::InternedNetlist flat = spice::flatten_interned(
-        spice::intern_netlist(input.netlist), input.name);
-    if (options.preprocess) {
-      mark(stage, Stage::Preprocess);
-      out.preprocess_report =
-          spice::preprocess_interned(flat, options.preprocess_options);
-      for (const auto& [removed, kept] : out.preprocess_report.alias) {
-        device_labels.erase(removed);
-        (void)kept;  // the representative keeps its own label
-      }
+  // Id-space front end: intern once, then flatten/preprocess/build on
+  // SymbolIds; names materialize only into `out.flat` at the boundary.
+  mark(stage, Stage::Flatten);
+  spice::InternedNetlist flat = spice::flatten_interned(
+      spice::intern_netlist(input.netlist), input.name);
+  if (options.preprocess) {
+    mark(stage, Stage::Preprocess);
+    out.preprocess_report =
+        spice::preprocess_interned(flat, options.preprocess_options);
+    for (const auto& [removed, kept] : out.preprocess_report.alias) {
+      device_labels.erase(removed);
+      (void)kept;  // the representative keeps its own label
     }
-    mark(stage, Stage::GraphBuild);
-    out.graph = graph::build_graph(flat);
-    out.flat = spice::materialize_netlist(flat);
-  } else {
-    mark(stage, Stage::Flatten);
-    out.flat = spice::flatten(input.netlist, input.name);
-    if (options.preprocess) {
-      mark(stage, Stage::Preprocess);
-      out.preprocess_report =
-          spice::preprocess(out.flat, options.preprocess_options);
-      for (const auto& [removed, kept] : out.preprocess_report.alias) {
-        device_labels.erase(removed);
-        (void)kept;  // the representative keeps its own label
-      }
-    }
-    mark(stage, Stage::GraphBuild);
-    out.graph = graph::build_graph(out.flat);
   }
+  mark(stage, Stage::GraphBuild);
+  out.graph = graph::build_graph(flat);
+  out.flat = spice::materialize_netlist(flat);
   out.labels = vertex_labels(out.graph, device_labels);
   return out;
 }

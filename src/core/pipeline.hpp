@@ -35,19 +35,9 @@ struct PreparedCircuit {
   std::vector<std::string> class_names;
 };
 
-/// Which front-end implementation prepares circuits. Both produce
-/// bit-identical PreparedCircuits (flat netlist, report, graph) -- the
-/// contract pinned by tests/frontend_test.cpp; Reference exists as the
-/// plainly-written oracle, Interned as the fast path.
-enum class FrontEnd {
-  Reference,  ///< legacy string-keyed flatten/preprocess/build
-  Interned,   ///< id-space path over an arena-backed SymbolTable
-};
-
 struct PrepareOptions {
   bool preprocess = true;
   spice::PreprocessOptions preprocess_options;
-  FrontEnd front_end = FrontEnd::Interned;
 };
 
 /// Front end on a labeled circuit (labels survive preprocessing through

@@ -1,20 +1,21 @@
-// Id-space netlist representation: the interned front-end fast path.
+// Id-space netlist representation used by the production front end.
 //
 // `InternedNetlist` mirrors `Netlist` with every name replaced by a
 // dense `SymbolId` into an owned `SymbolTable`, pins stored inline, and
-// parameters as a small flat vector instead of `std::map`. The hot
-// front-end stages -- parse, flatten, preprocess, graph build -- operate
-// entirely in id space; names are materialized back into the string
-// `Netlist` only at the boundary (`materialize_netlist`).
+// parameters as a small flat vector instead of `std::map`. Parsing stays
+// in string space (`parse_netlist`); `core::prepare_circuit` then runs
+//   intern_netlist -> flatten_interned -> preprocess_interned ->
+//   graph::build_graph(const InternedNetlist&) -> materialize_netlist,
+// so flatten, preprocess and graph build work on ids and names are
+// materialized back into a string `Netlist` only at the boundary.
 //
-// Equivalence contract: for every input on which the legacy string path
-// (the Reference implementation: `parse_netlist`, `flatten`,
-// `preprocess`, `graph::build_graph(const Netlist&)`) succeeds, the
-// interned path produces a bit-identical flattened `Netlist`,
-// `PreprocessReport`, and `CircuitGraph` -- same device order, same
-// bytes, same vertex/edge ids. Inputs the Reference path rejects are
-// rejected with the same DiagCode at the same source line. The contract
-// is pinned by tests/frontend_test.cpp and bench/frontend.cpp.
+// Equivalence contract: for every parsed netlist on which the string
+// stages (`flatten`, `preprocess`, `graph::build_graph(const Netlist&)`)
+// succeed, the id-space stages produce a bit-identical flattened
+// `Netlist`, `PreprocessReport`, and `CircuitGraph` -- same device
+// order, same bytes, same vertex/edge ids. Netlists the string stages
+// reject are rejected with the same DiagCode and message. The contract
+// is pinned by tests/frontend_test.cpp.
 #pragma once
 
 #include <array>
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "spice/netlist.hpp"
-#include "spice/parser.hpp"
 #include "spice/preprocess.hpp"
 #include "spice/symbol_table.hpp"
 
@@ -94,7 +94,7 @@ struct InternedSubckt {
 
 /// A full netlist in id space, owning its symbol table. Movable only
 /// (the table's arena is not copyable); stages hand the value through
-/// `parse_netlist_interned` -> `flatten_interned` -> `preprocess_interned`
+/// `intern_netlist` -> `flatten_interned` -> `preprocess_interned`
 /// -> `graph::build_graph` / `materialize_netlist`.
 struct InternedNetlist {
   std::string title;
@@ -121,27 +121,15 @@ struct InternedNetlist {
 
 /// Materializes the string `Netlist` at the front-end boundary. Device
 /// order is preserved; params/subckts/port_labels/globals land in their
-/// sorted containers exactly as the Reference path produces them.
+/// sorted containers exactly as the string stages produce them.
 [[nodiscard]] Netlist materialize_netlist(const InternedNetlist& netlist);
 
 /// Id-space equivalent of `Netlist::validate`: checks the same
 /// invariants in the same order and throws a NetlistError carrying the
-/// same Diag the Reference path would produce. Names are materialized
+/// same Diag `Netlist::validate` would produce. Names are materialized
 /// only for the error message.
 void validate_interned(const InternedNetlist& netlist,
                        const std::string& source = {});
-
-/// Zero-copy parser fast path: lexes `std::string_view` tokens out of
-/// one lowercased whole-file buffer (a single allocation) instead of a
-/// string per token. Accepts and rejects exactly what `parse_netlist`
-/// does (same DiagCode, same line).
-[[nodiscard]] InternedNetlist parse_netlist_interned(
-    std::string_view text, const ParseOptions& options = {});
-
-/// File variant; shares `read_netlist_text` with the Reference path so
-/// the file is read exactly once, with the size limit checked up front.
-[[nodiscard]] InternedNetlist parse_netlist_file_interned(
-    const std::string& path, const ParseLimits& limits = {});
 
 /// Id-space hierarchy expansion: all instance-path prefixing happens in
 /// the symbol table's arena; behavior (and failure Diags) match

@@ -13,8 +13,10 @@
 
 namespace gana::spice {
 
-namespace detail {
+namespace {
 
+/// True if a normalized (trimmed, lower-cased) logical line is a device,
+/// instance, or directive card rather than free-form title prose.
 bool looks_like_card(const std::string& s) {
   if (s.empty()) return false;
   const char c = s.front();
@@ -34,12 +36,6 @@ bool looks_like_card(const std::string& s) {
     default: return false;
   }
 }
-
-}  // namespace detail
-
-namespace {
-
-using detail::looks_like_card;
 
 struct Line {
   std::string text;

@@ -49,8 +49,7 @@ struct ParseOptions {
 /// checking `limits.max_input_bytes` against the file size up front (so
 /// an oversized file is rejected before its bytes are pulled in).
 /// Throws ParseError with DiagCode::IoError when the file cannot be
-/// opened, DiagCode::LimitExceeded when it is too large. Shared by the
-/// Reference and interned parser entry points.
+/// opened, DiagCode::LimitExceeded when it is too large.
 std::string read_netlist_text(const std::string& path,
                               const ParseLimits& limits = {});
 
@@ -78,15 +77,5 @@ Netlist parse_netlist_file(const std::string& path,
     std::string_view text, const ParseOptions& options = {});
 [[nodiscard]] Result<Netlist> parse_netlist_file_result(
     const std::string& path, const ParseLimits& limits = {});
-
-namespace detail {
-
-/// True if a normalized (trimmed, lower-cased) logical line is a device,
-/// instance, or directive card rather than free-form title prose. Shared
-/// between the Reference and interned parsers so both apply the same
-/// title heuristic.
-[[nodiscard]] bool looks_like_card(const std::string& line);
-
-}  // namespace detail
 
 }  // namespace gana::spice
