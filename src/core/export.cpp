@@ -1,5 +1,6 @@
 #include "core/export.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace gana::core {
@@ -129,9 +130,16 @@ std::string annotation_to_json(const AnnotateResult& result,
     out << "\"" << json_escape(class_names[i]) << "\"";
   }
   out << "],";
-  out << "\"accuracy\":{\"gcn\":" << result.acc_gcn
-      << ",\"post1\":" << result.acc_post1
-      << ",\"post2\":" << result.acc_post2 << "},";
+  // Accuracy is unknown, not perfect, when no vertex carries a label.
+  const auto& labels = result.prepared.labels;
+  if (std::any_of(labels.begin(), labels.end(),
+                  [](int label) { return label >= 0; })) {
+    out << "\"accuracy\":{\"gcn\":" << result.acc_gcn
+        << ",\"post1\":" << result.acc_post1
+        << ",\"post2\":" << result.acc_post2 << "},";
+  } else {
+    out << "\"accuracy\":null,";
+  }
 
   out << "\"vertices\":[";
   const auto& g = result.prepared.graph;

@@ -27,7 +27,8 @@ std::string batch_timings_to_json(const BatchTimings& t, std::size_t jobs,
 std::string hierarchy_to_json(const HierarchyNode& root);
 
 /// Serializes a full annotation result: hierarchy, per-vertex classes,
-/// primitive instances, and stage accuracies.
+/// primitive instances, and stage accuracies ("accuracy":null when no
+/// vertex has a ground-truth label).
 std::string annotation_to_json(const AnnotateResult& result,
                                const std::vector<std::string>& class_names);
 

@@ -70,6 +70,26 @@ TEST(Export, AnnotationJsonCarriesEverything) {
   }
 }
 
+TEST(Export, AnnotationJsonAccuracyOnlyWithGroundTruth) {
+  // Labeled input: the stage accuracies are reported as numbers.
+  const auto labeled = annotate_ota();
+  const std::string with_truth = annotation_to_json(labeled, {"ota", "bias"});
+  EXPECT_NE(with_truth.find("\"accuracy\":{\"gcn\":"), std::string::npos);
+  EXPECT_EQ(with_truth.find("\"accuracy\":null"), std::string::npos);
+
+  // Bare netlist: no vertex is labeled, so accuracy is unknown, not 1.
+  Rng rng(1);
+  const auto circuit = datagen::generate_ota({}, rng, "bare_ota");
+  const Annotator annotator(nullptr, {"ota", "bias"});
+  const auto bare = annotator.annotate(circuit.netlist, "bare_ota");
+  ASSERT_FALSE(bare.prepared.labels.empty());
+  for (const int label : bare.prepared.labels) EXPECT_LT(label, 0);
+  const std::string no_truth = annotation_to_json(bare, {"ota", "bias"});
+  EXPECT_TRUE(json_balanced(no_truth));
+  EXPECT_NE(no_truth.find("\"accuracy\":null,"), std::string::npos);
+  EXPECT_EQ(no_truth.find("\"gcn\":"), std::string::npos);
+}
+
 TEST(Export, JsonEscapesSpecialCharacters) {
   HierarchyNode node;
   node.kind = HierarchyNode::Kind::Element;
