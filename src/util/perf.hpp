@@ -42,8 +42,7 @@ struct PerfSnapshot {
   std::uint64_t intern_hits = 0;       ///< SymbolTable lookups of known names
   std::uint64_t intern_misses = 0;     ///< SymbolTable first-time interns
   std::uint64_t frontend_allocs = 0;   ///< interned front-end heap allocations
-                                       ///< (arena chunks, table rehashes,
-                                       ///< whole-file buffers)
+                                       ///< (arena chunks, table rehashes)
   std::uint64_t incr_regions = 0;      ///< regions seen by session runs
   std::uint64_t incr_region_reuses = 0;     ///< regions fully served by the
                                             ///< session's per-structure caches
